@@ -1,10 +1,11 @@
 package jitsu_test
 
 // One benchmark per table and figure of the paper's evaluation (§4),
-// plus the ablations DESIGN.md calls out. Each benchmark runs the full
-// deterministic simulation for its artefact and reports the headline
-// quantity via b.ReportMetric, so `go test -bench=. -benchmem` prints a
-// compact reproduction of the whole evaluation.
+// plus the ablations in internal/experiments (README "Architecture
+// map"). Each benchmark runs the full deterministic simulation for its
+// artefact and reports the headline quantity via b.ReportMetric, so
+// `go test -bench=. -benchmem` prints a compact reproduction of the
+// whole evaluation.
 
 import (
 	"testing"
@@ -359,7 +360,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
-// ---- ablation benches (DESIGN.md §5) ----
+// ---- ablation benches (internal/experiments/ablations.go) ----
 
 func BenchmarkAblationMergeStrategies(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -101,14 +101,10 @@
 // than scattering ad-hoc getters.
 //
 // Boards and clusters are built with functional options (core.New,
-// core.NewOnEngine, cluster.NewCluster, cluster.NewFederation); the
-// positional constructors (core.NewBoard, core.NewBoardOnEngine,
-// cluster.New) remain as thin deprecated shims, as does the
-// single-func Activation().Trace hook superseded by the Subscribe
-// fan-out.
+// core.NewOnEngine, cluster.NewCluster, cluster.NewFederation).
 //
 // The implementation lives under internal/ (one package per subsystem —
-// see DESIGN.md for the inventory); runnable entry points are in cmd/
-// and examples/; bench_test.go regenerates every table and figure of
-// the paper's evaluation.
+// the README's "Architecture map" is the inventory); runnable entry
+// points are in cmd/ and examples/; bench_test.go regenerates every
+// table and figure of the paper's evaluation.
 package jitsu

@@ -1,7 +1,7 @@
 // Package cc is the per-management-link congestion controller the bulk
-// movers acquire window from. Migration pre-copy chunks
-// (internal/cluster xfer.go) and federation shed/Transfer checkpoint
-// copies used to blast fixed-size chunks with a private doubling RTO —
+// movers acquire window from. Migration pre-copy chunks and federation
+// shed/Transfer checkpoint copies (internal/cluster chunksend.go) used
+// to blast fixed-size chunks with a private doubling RTO —
 // exactly the uncoordinated bulk consumer that collapses a shared
 // monitoring/control transport (the MDS2 failure mode): on a throttled
 // management link an unpaced copy parks seconds of queue in front of

@@ -175,9 +175,9 @@ type Cluster struct {
 	// movedTo records services this cluster handed to another cluster
 	// (federation spill or skew shed): resolution redirects there.
 	movedTo map[string]int
-	// xferSenders tracks in-flight checkpoint transfers by id (xfer.go).
-	xferSenders map[uint32]*xferSend
-	nextXferID  uint32
+	// xfers tracks in-flight checkpoint copies by id (chunksend.go).
+	xfers      map[uint32]*chunkSend
+	nextXferID uint32
 	// ccs holds each board's management-uplink congestion controller,
 	// indexed by board id, built on first transfer (nil entries until
 	// then; unused entirely when Cfg.UnpacedTransfers).
@@ -300,7 +300,7 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	cfg.Board.DelayDNSUntilReady = false
 
 	c := &Cluster{Cfg: cfg, dir: newDirectory(), movedTo: make(map[string]int),
-		xferSenders: make(map[uint32]*xferSend)}
+		xfers: make(map[uint32]*chunkSend)}
 	c.eng = eng
 	c.mgmt = netsim.NewBridge(c.eng, "mgmt", 10*time.Microsecond)
 	for i := 0; i < cfg.Boards; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"jitsu/internal/api"
@@ -219,9 +220,9 @@ type Federation struct {
 	members []*FedMember
 	root    *fedRoot
 	clients []*FedClient
-	// fedXfers tracks in-flight cross-cluster chunk exchanges by id
-	// (fedxfer.go).
-	fedXfers    map[uint32]*fedXferSend
+	// fedXfers tracks in-flight cross-cluster checkpoint copies by id
+	// (chunksend.go).
+	fedXfers    map[uint32]*chunkSend
 	nextFedXfer uint32
 
 	// Spills counts services re-homed because admission refused.
@@ -333,7 +334,7 @@ func NewFederation(opts ...FedOption) *Federation {
 	if cfg.DelegateRetries < 0 {
 		cfg.DelegateRetries = 0
 	}
-	f := &Federation{Cfg: cfg, fedXfers: make(map[uint32]*fedXferSend)}
+	f := &Federation{Cfg: cfg, fedXfers: make(map[uint32]*chunkSend)}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
 	cfg.Tracer.BindClock(f.eng.Now)
 	f.fedNet = netsim.NewBridge(f.eng, "fed-mgmt", 10*time.Microsecond)
@@ -590,8 +591,8 @@ type fedAgent struct {
 	// pushPending coalesces change-driven pushes within one link delay.
 	pushPending bool
 	stopped     bool
-	// ctrl paces this agent's federation uplink for chunk exchanges
-	// (fedxfer.go); nil until the first transfer, or always when the
+	// ctrl paces this agent's federation uplink for checkpoint copies
+	// (chunksend.go); nil until the first transfer, or always when the
 	// unpaced ablation is configured.
 	ctrl *cc.Controller
 }
@@ -680,7 +681,7 @@ func (a *fedAgent) recv(src netstack.IP, _ uint16, payload []byte) {
 	}
 	switch payload[0] {
 	case fedOpXferChunk, fedOpXferAck:
-		a.recvFedXfer(src, payload)
+		fedXferWire.recv(a.host, a.f.fedXfers, src, payload)
 	case fedOpResolve:
 		if len(payload) < 6 {
 			return
@@ -759,6 +760,31 @@ func (a *fedAgent) spill(qid uint32, target int, name string) {
 		buf = append(buf, 0)
 	}
 	a.host.SendUDP(rootMgmtIP, fedPort, fedPort, buf)
+}
+
+// fedCopy streams stateMiB from this agent to cluster dst's agent over
+// the federation management network (chunksend.go) and reports
+// success, paced by the agent's uplink controller unless
+// Cfg.UnpacedTransfers. Retransmits are counted but not traced.
+func (a *fedAgent) fedCopy(dst int, stateMiB int, done func(ok bool)) {
+	f := a.f
+	p := chunkPath{
+		wire: fedXferWire, eng: f.eng, host: a.host, xmit: fedXferWire.bulk(a.host, agentMgmtIP(dst)),
+		chunkMiB: f.Cfg.TransferChunkMiB, rto: f.Cfg.TransferChunkRTO,
+		retries: f.Cfg.TransferChunkRetries, bitsPerSec: f.Cfg.TransferBitsPerSec,
+		sent: &f.FedChunks, retx: &f.FedChunkRetx, aborts: &f.FedXferAborts,
+		traceAbort: func(id uint32, acked int) {
+			if tr := f.Cfg.Tracer; tr != nil {
+				tr.Instant(a.lane(), "fed", "xfer-abort",
+					obs.Num("xfer", int64(id)), obs.Num("chunk", int64(acked)))
+			}
+		},
+	}
+	if !f.Cfg.UnpacedTransfers {
+		p.ctrl = p.pacer(&a.ctrl, f.Reg, "cc.c"+strconv.Itoa(a.m.ID))
+	}
+	f.nextFedXfer++
+	p.send(f.fedXfers, f.nextFedXfer, stateMiB, done)
 }
 
 // lane is the trace lane federation-level events about this member

@@ -167,7 +167,9 @@ func newAgent(c *Cluster, m *Member) *agent {
 	if err := a.host.BindUDP(gossipPort, a.recv); err != nil {
 		panic(fmt.Sprintf("cluster: gossip bind: %v", err))
 	}
-	if err := a.host.BindUDP(xferPort, a.recvXfer); err != nil {
+	if err := a.host.BindUDP(migrateWire.port, func(src netstack.IP, _ uint16, payload []byte) {
+		migrateWire.recv(a.host, c.xfers, src, payload)
+	}); err != nil {
 		panic(fmt.Sprintf("cluster: xfer bind: %v", err))
 	}
 	return a

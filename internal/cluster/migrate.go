@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strconv"
 
 	"jitsu/internal/api"
 	"jitsu/internal/core"
@@ -404,4 +405,34 @@ func (c *Cluster) Rebalance() int {
 		}
 	}
 	return moved
+}
+
+// copyCheckpoint streams stateMiB from board src to board dst over the
+// management network (chunksend.go) and reports success, paced by
+// src's uplink controller unless Cfg.UnpacedTransfers.
+func (c *Cluster) copyCheckpoint(src, dst int, stateMiB int, done func(ok bool)) {
+	h := c.members[src].agent.host
+	p := chunkPath{
+		wire: migrateWire, eng: c.eng, host: h, xmit: migrateWire.bulk(h, mgmtIP(dst)),
+		chunkMiB: c.Cfg.MigrateChunkMiB, rto: c.Cfg.MigrateChunkRTO,
+		retries: c.Cfg.MigrateChunkRetries, bitsPerSec: c.Cfg.MigrateBitsPerSec,
+		sent: &c.Chunks, retx: &c.ChunkRetx, aborts: &c.XferAborts,
+		traceRetx:  func(id uint32, chunk int) { c.traceXfer(src, "chunk-retx", id, chunk) },
+		traceAbort: func(id uint32, acked int) { c.traceXfer(src, "xfer-abort", id, acked) },
+	}
+	if !c.Cfg.UnpacedTransfers {
+		for len(c.ccs) <= src {
+			c.ccs = append(c.ccs, nil)
+		}
+		p.ctrl = p.pacer(&c.ccs[src], c.Reg, "cc.b"+strconv.Itoa(src))
+	}
+	c.nextXferID++
+	p.send(c.xfers, c.nextXferID, stateMiB, done)
+}
+
+func (c *Cluster) traceXfer(src int, name string, id uint32, chunk int) {
+	if tr := c.tracer(); tr != nil {
+		tr.Instant(c.tidFor(src), "migrate", name,
+			obs.Num("xfer", int64(id)), obs.Num("chunk", int64(chunk)))
+	}
 }

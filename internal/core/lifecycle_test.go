@@ -212,6 +212,42 @@ func TestDemoteWhileActivationInFlight(t *testing.T) {
 	}
 }
 
+// TestDeregisterWhileLaunchInFlight: a service retired while its boot
+// is in flight (its board left the cluster) has the finished guest torn
+// down instead of resurrected — no panic on the completion-less destroy,
+// the domain and its memory returned, and nothing left on the engine.
+func TestDeregisterWhileLaunchInFlight(t *testing.T) {
+	b := New()
+	svc := b.Jitsu.Register(aliceService())
+	freeMiB, domains := b.Hyp.FreeMemMiB(), b.Hyp.Domains()
+	calls := 0
+	var ready error
+	if err := b.Jitsu.Activate(svc, true, func(err error) { calls++; ready = err }); err != nil {
+		t.Fatal(err)
+	}
+	b.Eng.RunFor(10 * time.Millisecond)
+	if svc.State != StateLaunching {
+		t.Fatalf("state = %v, want launching", svc.State)
+	}
+	if !b.Jitsu.Deregister(svc) {
+		t.Fatal("Deregister reported the service unknown")
+	}
+	b.Eng.Run()
+	if calls != 1 || ready == nil {
+		t.Fatalf("onReady called %d times with %v, want once with an error", calls, ready)
+	}
+	if svc.State != StateCold || svc.Guest != nil {
+		t.Fatalf("retired service: state = %v guest = %v, want cold with no guest", svc.State, svc.Guest)
+	}
+	if b.Hyp.Domains() != domains || b.Hyp.FreeMemMiB() != freeMiB {
+		t.Fatalf("domains = %d free = %d MiB, want %d / %d MiB back",
+			b.Hyp.Domains(), b.Hyp.FreeMemMiB(), domains, freeMiB)
+	}
+	if n := b.Eng.Pending(); n != 0 {
+		t.Fatalf("engine left %d events pending", n)
+	}
+}
+
 // TestPromoteRacingClientBoot: a control-plane Promote starts the disk
 // restore toward WarmMemory; a client-driven firing arriving while the
 // restore is in flight joins it (no second launch) and upgrades the

@@ -14,7 +14,9 @@ import (
 	"jitsu/internal/xenstore"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out. None
+// The ablations quantify the design choices of the activation path —
+// Synjitsu, the toolstack optimisations, delayed DNS (README "The
+// trigger-agnostic activation API") and XenStore merge strategies. None
 // map to a single paper figure; they fill the gaps the paper argues in
 // prose.
 

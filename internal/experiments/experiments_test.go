@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
 // These tests assert the *shape* of each reproduced figure — who wins,
-// by roughly what factor, where the crossovers fall — which is the
-// reproduction contract stated in DESIGN.md.
+// by roughly what factor, where the crossovers fall — not its exact
+// values: the shape is what the reproduction of §4 claims (README
+// "Architecture map", internal/experiments).
 
 func TestFig3Shape(t *testing.T) {
 	r := Fig3([]int{1, 10, 30})
@@ -97,21 +99,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func key(name string, size int) string {
-	return name + "@" + itoa(size)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return name + "@" + strconv.Itoa(size)
 }
 
 func TestFig9aShape(t *testing.T) {

@@ -188,8 +188,12 @@ func (g *Guest) announce() {
 	_ = g.NIC.Send(eth.Encode(pkt.Encode()))
 }
 
-// Destroy tears the guest down and unplugs its vif.
+// Destroy tears the guest down and unplugs its vif; done (may be nil)
+// fires once the domain is gone.
 func (l *Launcher) Destroy(g *Guest, done func(error)) {
+	if done == nil {
+		done = func(error) {}
+	}
 	if g.bridgePort != nil {
 		l.Bridge.RemovePort(g.bridgePort)
 		g.bridgePort = nil

@@ -422,6 +422,8 @@ func TestInteropMatrix(t *testing.T) {
 			wantCode: api.CodeUnauthorized},
 		{name: "v2-v2-anonymous-policy", anonymous: api.ScopeReadOnly,
 			session: wire.SessionConfig{}, wantVer: 2, wantScope: api.ScopeReadOnly},
+		{name: "v2-v2-anonymous-admin", anonymous: api.ScopeAdmin,
+			session: wire.SessionConfig{}, wantVer: 2, wantScope: api.ScopeAdmin},
 		{name: "v2-client-v1-server", srvMax: 1, anonymous: api.ScopeOperator,
 			session: wire.SessionConfig{Token: tokAdmin}, wantVer: 1},
 		{name: "v2-client-v1-server-refused", srvMax: 1,
