@@ -2,9 +2,11 @@
 #
 # `make ci` runs the exact gate GitHub Actions runs (.github/workflows/
 # go.yml): vet + gofmt + staticcheck + actionlint, build, tests (plain
-# and -race), fuzz smoke passes over both wire codecs, the
-# bench-regression gate against the committed baseline, and the
-# determinism check (every experiment twice, fingerprints diffed).
+# and -race), vet + tests of the separate perfbench module, fuzz smoke
+# passes over both wire codecs, the bench-regression gate against the
+# committed baseline, the determinism check (every experiment twice,
+# fingerprints diffed) and the fingerprint check against the committed
+# record.
 # The nightly workflow (.github/workflows/nightly-fuzz.yml) runs the
 # same fuzz targets for 10 minutes each.
 
@@ -15,7 +17,7 @@ SHELL := /bin/bash
 
 GO ?= go
 # The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr12.json
+BENCH_OUT ?= BENCH_pr13.json
 # The committed baseline the bench gate compares against.
 BENCH_BASE ?= BENCH_pr9.json
 # Allowed fractional ns/op regression before the gate fails.
@@ -29,7 +31,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire bench bench-gate determinism ci
+.PHONY: all build test vet race perfbench-check fmt-check staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire bench bench-gate determinism fingerprint-check ci
 
 all: vet build test
 
@@ -44,6 +46,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-check vets and tests the benchmark harness, its own module
+# (`go build ./...` at the root skips it) compiled against the internal
+# packages' options.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -111,10 +119,21 @@ determinism:
 	diff .fingerprints-a .fingerprints-b && echo "determinism: series bit-identical across runs"
 	rm -f .fingerprints-a .fingerprints-b
 
+# fingerprint-check diffs the -quick determinism fingerprints against the
+# committed record, so any change to a virtual-time result fails. A
+# change that moves results on purpose regenerates the record in the
+# same commit:
+#   go run ./cmd/jitsu-bench -run all -quick -fingerprint > testdata/fingerprints-quick.txt
+fingerprint-check:
+	$(GO) run ./cmd/jitsu-bench -run all -quick -fingerprint > .fingerprints-now
+	diff testdata/fingerprints-quick.txt .fingerprints-now && echo "fingerprint-check: series match testdata/fingerprints-quick.txt"
+	rm -f .fingerprints-now
+
 # ci mirrors .github/workflows/go.yml so contributors run the exact
 # gate locally before pushing.
-ci: vet fmt-check staticcheck actionlint build test race
+ci: vet fmt-check staticcheck actionlint build test race perfbench-check
 	$(MAKE) fuzz FUZZTIME=30s
 	$(MAKE) bench BENCH_OUT=bench-ci.json
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) -tolerance $(BENCH_TOLERANCE) $(BENCH_ACCEPT) bench-ci.json
 	$(MAKE) determinism
+	$(MAKE) fingerprint-check

@@ -113,12 +113,12 @@ func main() {
 	}
 
 	hostile := hostileFlags{loss: *loss, jitter: *jitter, partition: *partition, noRetry: *noRetry}
-	if hostile.active() && (*boards < 2 || *clusters > 1) {
-		fmt.Fprintln(os.Stderr, "jitsud: -loss/-jitter/-partition/-no-dns-retry need cluster mode (-boards > 1, -clusters 1)")
+	if err := hostile.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "jitsud: %v\n", err)
 		os.Exit(2)
 	}
-	if _, _, err := hostile.parsePartition(); err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: bad -partition: %v\n", err)
+	if hostile.active() && (*boards < 2 || *clusters > 1) {
+		fmt.Fprintln(os.Stderr, "jitsud: -loss/-jitter/-partition/-no-dns-retry need cluster mode (-boards > 1, -clusters 1)")
 		os.Exit(2)
 	}
 
@@ -316,6 +316,21 @@ type hostileFlags struct {
 
 func (h hostileFlags) active() bool {
 	return h.loss > 0 || h.jitter > 0 || h.partition != "" || h.noRetry
+}
+
+// validate rejects values the impairment model cannot honour: a -loss
+// rate outside [0,1], a negative -jitter, or a malformed -partition.
+func (h hostileFlags) validate() error {
+	if !(h.loss >= 0 && h.loss <= 1) {
+		return fmt.Errorf("bad -loss %v: want a rate in [0,1]", h.loss)
+	}
+	if h.jitter < 0 {
+		return fmt.Errorf("bad -jitter %v: must not be negative", h.jitter)
+	}
+	if _, _, err := h.parsePartition(); err != nil {
+		return fmt.Errorf("bad -partition: %v", err)
+	}
+	return nil
 }
 
 // parsePartition decodes -partition's "T" or "T,T2" (heal 0 = never).
@@ -776,18 +791,9 @@ func runFederation(clusters, boardsPer, services, requests int, seed int64, poli
 		cluster.WithFedTracer(tracer),
 	}
 	if wanProf != nil {
-		// WAN-shaped federation links: the delegation retransmit budget
-		// must clear the path RTT, and 1 MiB transfer chunks keep the
-		// delegation replies from queueing behind whole checkpoints.
-		delegRTO := 100 * time.Millisecond
-		if d := 3 * wanProf.RTT; d > delegRTO {
-			delegRTO = d
-		}
-		fopts = append(fopts,
-			cluster.WithWAN(*wanProf),
-			cluster.WithDelegateRetry(delegRTO, 3),
-			cluster.WithTransferChunk(1),
-		)
+		// WAN-shaped federation links; the delegation timeout and the
+		// transfer chunk size follow from the profile.
+		fopts = append(fopts, cluster.WithWAN(*wanProf))
 	}
 	f := cluster.NewFederation(fopts...)
 	if wanProf != nil {

@@ -37,24 +37,10 @@ type Config struct {
 	// DefaultPolicy places services that don't pick their own
 	// (nil = LeastLoaded).
 	DefaultPolicy Policy
-	// RateAlpha is the EWMA weight for arrival-rate estimation (0..1].
-	RateAlpha float64
-	// WarmFactor scales rate×boot-time into a warm-pool target.
-	WarmFactor float64
 	// MaxWarmPerService caps any one service's pool (0 = one per board).
 	MaxWarmPerService int
 	// MinRate is the arrivals/sec below which a pool drains to MinWarm.
 	MinRate float64
-	// PreemptMargin gates rate-based preemption: a full cluster evicts
-	// the coldest ready replica only for a service at least this many
-	// times hotter (≤1 disables preemption; default 2 resists flapping
-	// between similar services).
-	PreemptMargin float64
-	// BootEstimate is the expected cold-boot latency used to size pools.
-	BootEstimate sim.Duration
-	// PowerModel supplies per-board power models for PowerAware
-	// placement (nil = Cubieboard2 everywhere).
-	PowerModel func(board int) *power.Board
 
 	// ProbeEvery is the gossip failure-detector period. 0 (the default)
 	// keeps the detector passive — joins and graceful leaves still
@@ -78,9 +64,6 @@ type Config struct {
 	// (checkpoint + restore) instead of stopping them (the
 	// preempt-and-reboot baseline the Churn experiment compares against).
 	MigrateOnLeave bool
-	// MigrateBitsPerSec is the checkpoint-copy rate across the
-	// management link (default 1 Gb/s).
-	MigrateBitsPerSec float64
 	// MigrateChunkMiB sizes the pre-copy chunks; each chunk is one
 	// acknowledged datagram exchange on the management network
 	// (default 8 MiB).
@@ -96,8 +79,8 @@ type Config struct {
 	// bound, before the replica is finally written off (defaults 1s, 3).
 	MigrateRetryDelay  sim.Duration
 	MigrateMaxAttempts int
-	// MgmtBitsPerSec is the management network's link rate, used by the
-	// gossip substrate (default 1 Gb/s).
+	// MgmtBitsPerSec is the management network's link rate, shared by
+	// the gossip substrate and checkpoint copies (default 1 Gb/s).
 	MgmtBitsPerSec float64
 	// UnpacedTransfers disables the per-uplink congestion controller:
 	// checkpoint copies blast every chunk immediately with the fixed
@@ -115,24 +98,35 @@ type Config struct {
 	TraceTIDBase int
 }
 
+// Control-loop constants: every deployment runs them at one value, so
+// they are built in rather than configured.
+const (
+	// rateAlpha is the EWMA weight for arrival-rate estimation.
+	rateAlpha = 0.1
+	// bootEstimate is the expected cold-boot latency: warm pools are
+	// sized to rate × bootEstimate, and ten of it is the answer guard
+	// that shields a freshly booted or recently answered replica from
+	// preemption and delays retiring a migrated one.
+	bootEstimate = 350 * time.Millisecond
+	// preemptMargin gates rate-based preemption: a full cluster evicts
+	// the coldest ready replica only for a service at least this many
+	// times hotter, so similar services do not flap.
+	preemptMargin = 2.0
+)
+
 // DefaultConfig is a 4-board Cubieboard2 cluster with least-loaded
 // placement, EWMA-sized warm pools, and live migration on graceful
 // leave. The failure detector is passive until ProbeEvery is set.
 func DefaultConfig() Config {
 	return Config{
-		Boards:            4,
-		Board:             core.DefaultConfig(),
-		RateAlpha:         0.1,
-		WarmFactor:        1.0,
-		MinRate:           0.02,
-		PreemptMargin:     2.0,
-		BootEstimate:      350 * time.Millisecond,
-		ProbeTimeout:      200 * time.Millisecond,
-		SuspectTimeout:    2 * time.Second,
-		IndirectProbes:    2,
-		MigrateOnLeave:    true,
-		MigrateBitsPerSec: 1e9,
-		MgmtBitsPerSec:    1e9,
+		Boards:         4,
+		Board:          core.DefaultConfig(),
+		MinRate:        0.02,
+		ProbeTimeout:   200 * time.Millisecond,
+		SuspectTimeout: 2 * time.Second,
+		IndirectProbes: 2,
+		MigrateOnLeave: true,
+		MgmtBitsPerSec: 1e9,
 
 		MigrateChunkMiB:     8,
 		MigrateChunkRTO:     50 * time.Millisecond,
@@ -255,47 +249,8 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.DefaultPolicy == nil {
 		cfg.DefaultPolicy = LeastLoaded{}
 	}
-	if cfg.RateAlpha <= 0 || cfg.RateAlpha > 1 {
-		cfg.RateAlpha = 0.1
-	}
-	if cfg.WarmFactor <= 0 {
-		cfg.WarmFactor = 1.0
-	}
-	if cfg.BootEstimate <= 0 {
-		cfg.BootEstimate = 350 * time.Millisecond
-	}
 	if cfg.MaxWarmPerService <= 0 {
 		cfg.MaxWarmPerService = cfg.Boards
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 200 * time.Millisecond
-	}
-	if cfg.SuspectTimeout <= 0 {
-		cfg.SuspectTimeout = 2 * time.Second
-	}
-	if cfg.IndirectProbes < 0 {
-		cfg.IndirectProbes = 0
-	}
-	if cfg.MigrateBitsPerSec <= 0 {
-		cfg.MigrateBitsPerSec = 1e9
-	}
-	if cfg.MigrateChunkMiB <= 0 {
-		cfg.MigrateChunkMiB = 8
-	}
-	if cfg.MigrateChunkRTO <= 0 {
-		cfg.MigrateChunkRTO = 50 * time.Millisecond
-	}
-	if cfg.MigrateChunkRetries <= 0 {
-		cfg.MigrateChunkRetries = 5
-	}
-	if cfg.MigrateRetryDelay <= 0 {
-		cfg.MigrateRetryDelay = 1 * time.Second
-	}
-	if cfg.MigrateMaxAttempts <= 0 {
-		cfg.MigrateMaxAttempts = 3
-	}
-	if cfg.MgmtBitsPerSec <= 0 {
-		cfg.MgmtBitsPerSec = 1e9
 	}
 	cfg.Board.DelayDNSUntilReady = false
 
@@ -361,9 +316,6 @@ func (c *Cluster) newMember() *Member {
 	b := core.NewOnEngine(c.eng, core.WithConfig(c.Cfg.Board),
 		core.WithTracer(c.Cfg.Tracer, c.tidFor(id)))
 	model := power.Cubieboard2()
-	if c.Cfg.PowerModel != nil {
-		model = c.Cfg.PowerModel(id)
-	}
 	m := &Member{ID: id, Board: b, Model: model, State: MemberJoining, baseDomains: b.Hyp.Domains()}
 	c.Boards = append(c.Boards, b)
 	c.apis = append(c.apis, api.ForBoard(b))
@@ -559,7 +511,7 @@ func (c *Cluster) observe(e *Entry) {
 		e.rate = c.Cfg.MinRate
 	} else if now > e.lastArrival {
 		inst := 1 / (now - e.lastArrival).Seconds()
-		e.rate = c.Cfg.RateAlpha*inst + (1-c.Cfg.RateAlpha)*e.rate
+		e.rate = rateAlpha*inst + (1-rateAlpha)*e.rate
 	}
 	e.arrivals++
 	e.lastArrival = now
@@ -635,14 +587,11 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 }
 
 // preempt evicts the coldest ready replica whose service is at least
-// PreemptMargin times colder than e, then boots e's replica on the
+// preemptMargin times colder than e, then boots e's replica on the
 // freed board once the destroy completes. The DNS answer goes out
 // immediately — the replica IP is under Synjitsu control, so the
 // client's SYNs ride the same boot race a stock cold start does.
 func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement {
-	if c.Cfg.PreemptMargin <= 1 {
-		return nil
-	}
 	now := c.eng.Now()
 	need := e.effectiveRate(now)
 	var victim *Placement
@@ -652,10 +601,10 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 			continue
 		}
 		or := o.effectiveRate(now)
-		if or*c.Cfg.PreemptMargin >= need {
+		if or*preemptMargin >= need {
 			continue
 		}
-		guard := 10 * c.Cfg.BootEstimate
+		guard := 10 * bootEstimate
 		for _, p := range o.ready() {
 			// Only boards still taking placements host preemption boots,
 			// and in-flight migrations must not lose their source.

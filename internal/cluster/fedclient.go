@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/netsim"
 	"jitsu/internal/netstack"
@@ -41,7 +42,7 @@ type FedClient struct {
 func (f *Federation) NewClient(name string, ip netstack.IP) *FedClient {
 	fc := &FedClient{f: f, name: name, ip: ip, sub: make([]*Client, len(f.members))}
 	nic := netsim.NewNIC(f.eng, name+"-front", netsim.MACFor(0xB300+len(f.clients)))
-	f.front.ConnectNIC(nic, f.Cfg.Cluster.Board.ExtLatency, f.Cfg.Cluster.Board.ExtBitsPerSec)
+	f.front.ConnectNIC(nic, core.ExtLinkLatency, core.ExtLinkBitsPerSec)
 	fc.front = netstack.NewHost(f.eng, name+"-front", nic, ip, netstack.LinuxNativeProfile())
 	f.clients = append(f.clients, fc)
 	return fc
@@ -88,7 +89,7 @@ func (fc *FedClient) Fetch(name, path string, timeout sim.Duration, done func(cl
 		}
 		ip := m.Answers[0].A
 		cid, board := int(ip[1])-10, int(ip[2])-100
-		if cid < 0 || cid >= len(fc.f.members) || board < 0 {
+		if cid < 0 || cid >= len(fc.f.members) || board < 0 || board >= len(fc.f.members[cid].Cluster.Boards) {
 			done(-1, -1, nil, eng.Now()-start, fmt.Errorf("cluster: unmappable answer %v", ip))
 			return
 		}

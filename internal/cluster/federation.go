@@ -49,51 +49,21 @@ type FedConfig struct {
 	// which the hottest cluster is never considered skewed; <= 0
 	// disables skew-triggered shedding entirely.
 	SkewMinRate float64
-	// SkewRatio: skew exists when the coldest cluster's rate is at or
-	// below this fraction of the hottest cluster's.
-	SkewRatio float64
-	// SkewRounds is how many consecutive summary rounds the same
-	// cluster must stay hottest before a shed fires (sustained skew,
-	// not a burst).
-	SkewRounds int
-	// ShedBatch is how many services one shed command moves.
-	ShedBatch int
 	// SpillOnRefuse re-homes a service to the least-loaded cluster when
 	// its own cluster's admission refuses a delegated query.
 	SpillOnRefuse bool
-	// DelegateTimeout is the root's per-try wait for a delegated
-	// resolve (or spill) reply before retransmitting; <= 0 takes the
-	// default. The timeout doubles per retry.
-	DelegateTimeout sim.Duration
 	// DelegateRetries is how many retransmits the root pays before a
 	// delegation is written off as SERVFAIL. 0 disables retransmission
 	// (one try, then SERVFAIL) — the ablation baseline.
 	DelegateRetries int
-	// FedLinkLatency / FedBitsPerSec characterise the root<->cluster
-	// management links.
-	FedLinkLatency sim.Duration
-	FedBitsPerSec  float64
-	// TransferBitsPerSec is the nominal checkpoint-copy rate between
-	// clusters, used to size the chunk exchange's retransmit allowance
-	// (the links themselves set the real rate; on WAN-shaped paths set
-	// this near the WANProfile's BitsPerSec).
-	TransferBitsPerSec float64
-	// TransferChunkMiB sizes the cross-cluster pre-copy chunks; each
-	// chunk is one acknowledged datagram exchange on the federation
-	// management network (default 4 MiB). TransferChunkRTO is the
-	// per-chunk retransmit floor (default 50ms), TransferChunkRetries
-	// the per-chunk retransmit budget before a transfer aborts
-	// (default 5).
-	TransferChunkMiB     int
-	TransferChunkRTO     sim.Duration
-	TransferChunkRetries int
 	// UnpacedTransfers disables the per-agent congestion controller on
 	// cross-cluster copies: every chunk blasts immediately with the
-	// fixed doubling TransferChunkRTO — the Stampede ablation arm.
+	// fixed doubling transferChunkRTO — the Stampede ablation arm.
 	UnpacedTransfers bool
 	// WAN, when set, shapes every member agent's federation management
 	// link to the profile (RTT, loss, throughput) instead of the flat
-	// FedLinkLatency/FedBitsPerSec LAN path.
+	// LAN path, and with it the transfer rate, chunk size and delegation
+	// timeout (transferBitsPerSec, transferChunkMiB, delegateTimeout).
 	WAN *netsim.WANProfile
 	// Tracer, when set, is shared by the root and every member cluster:
 	// the root's delegation/spill/shed events render on lane 0 and
@@ -107,23 +77,66 @@ type FedConfig struct {
 // detector), with spill-on-refuse on.
 func DefaultFedConfig() FedConfig {
 	return FedConfig{
-		Clusters:           4,
-		Cluster:            DefaultConfig(),
-		SkewMinRate:        2.0,
-		SkewRatio:          0.5,
-		SkewRounds:         3,
-		ShedBatch:          2,
-		SpillOnRefuse:      true,
-		DelegateTimeout:    5 * time.Millisecond,
-		DelegateRetries:    3,
-		FedLinkLatency:     200 * time.Microsecond,
-		FedBitsPerSec:      1e9,
-		TransferBitsPerSec: 1e9,
-
-		TransferChunkMiB:     4,
-		TransferChunkRTO:     50 * time.Millisecond,
-		TransferChunkRetries: 5,
+		Clusters:        4,
+		Cluster:         DefaultConfig(),
+		SkewMinRate:     2.0,
+		SpillOnRefuse:   true,
+		DelegateRetries: 3,
 	}
+}
+
+// Federation constants: one value in every deployment, so built in
+// rather than configured.
+const (
+	// fedLinkLatency / fedBitsPerSec characterise the root<->cluster
+	// management links (before any WAN shaping).
+	fedLinkLatency = 200 * time.Microsecond
+	fedBitsPerSec  = 1e9
+	// transferChunkRTO is the cross-cluster per-chunk retransmit floor;
+	// transferChunkRetries the per-chunk retransmit budget before a
+	// transfer aborts.
+	transferChunkRTO     = 50 * time.Millisecond
+	transferChunkRetries = 5
+	// The skew detector: skew exists when the coldest cluster's rate is
+	// at or below skewRatio of the hottest's; the same cluster must stay
+	// hottest for skewRounds consecutive summary rounds (sustained skew,
+	// not a burst) before a shed of shedBatch services fires.
+	skewRatio  = 0.5
+	skewRounds = 3
+	shedBatch  = 2
+)
+
+// transferBitsPerSec is the nominal cross-cluster copy rate that sizes
+// the chunk exchange's retransmit allowance: the WAN profile's
+// throughput, else the LAN management rate.
+func (c *FedConfig) transferBitsPerSec() float64 {
+	if c.WAN != nil {
+		return c.WAN.BitsPerSec
+	}
+	return fedBitsPerSec
+}
+
+// transferChunkMiB sizes the cross-cluster pre-copy chunks; each chunk
+// is one acknowledged datagram exchange. One chunk's serialisation time
+// is the floor on how long a delegation reply can queue behind the bulk
+// exchange on a shared uplink, so WAN paths use 1 MiB chunks instead of
+// the LAN's 4 MiB.
+func (c *FedConfig) transferChunkMiB() int {
+	if c.WAN != nil {
+		return 1
+	}
+	return 4
+}
+
+// delegateTimeout is the root's first-try wait for a delegated resolve
+// (or spill) reply before retransmitting; it doubles per retry. On the
+// LAN path it is 5ms; on a WAN it must clear the path, so three RTTs
+// and never under 100ms.
+func (c *FedConfig) delegateTimeout() sim.Duration {
+	if c.WAN != nil {
+		return max(100*time.Millisecond, 3*c.WAN.RTT)
+	}
+	return 5 * time.Millisecond
 }
 
 // FedOption tunes one aspect of a federation under construction.
@@ -149,16 +162,10 @@ func WithSummaryEvery(d sim.Duration) FedOption {
 	return func(c *FedConfig) { c.SummaryEvery = d }
 }
 
-// WithSkewPolicy tunes the skew detector: minimum hot-cluster rate,
-// cold/hot ratio, sustained rounds, and services shed per trigger.
+// WithSkewPolicy sets the skew detector's minimum hot-cluster rate;
 // minRate <= 0 disables shedding.
-func WithSkewPolicy(minRate, ratio float64, rounds, batch int) FedOption {
-	return func(c *FedConfig) {
-		c.SkewMinRate = minRate
-		c.SkewRatio = ratio
-		c.SkewRounds = rounds
-		c.ShedBatch = batch
-	}
+func WithSkewPolicy(minRate float64) FedOption {
+	return func(c *FedConfig) { c.SkewMinRate = minRate }
 }
 
 // WithSpillOnRefuse toggles the admission-refusal spill path.
@@ -166,40 +173,24 @@ func WithSpillOnRefuse(on bool) FedOption {
 	return func(c *FedConfig) { c.SpillOnRefuse = on }
 }
 
-// WithDelegateRetry tunes the root's delegation retransmit: per-try
-// timeout (doubling per retry) and retry budget. retries = 0 is the
-// no-retransmit ablation.
-func WithDelegateRetry(timeout sim.Duration, retries int) FedOption {
-	return func(c *FedConfig) {
-		c.DelegateTimeout = timeout
-		c.DelegateRetries = retries
-	}
+// WithDelegateRetry sets the root's delegation retransmit budget.
+// retries = 0 is the no-retransmit ablation.
+func WithDelegateRetry(retries int) FedOption {
+	return func(c *FedConfig) { c.DelegateRetries = retries }
 }
 
 // WithWAN shapes every member agent's federation management link to the
 // profile: RTT/2 extra latency each way, the profile's loss rate, and
-// its throughput cap — plus TransferBitsPerSec pinned to the profile's
-// rate so the chunk exchange's retransmit allowance matches the path.
+// its throughput cap. The transfer rate and chunk size and the
+// delegation timeout follow from the profile.
 func WithWAN(p netsim.WANProfile) FedOption {
-	return func(c *FedConfig) {
-		prof := p
-		c.WAN = &prof
-		c.TransferBitsPerSec = p.BitsPerSec
-	}
+	return func(c *FedConfig) { c.WAN = &p }
 }
 
 // WithUnpacedFedTransfers disables cross-cluster copy congestion
 // control — the Stampede ablation arm at the federation tier.
 func WithUnpacedFedTransfers(on bool) FedOption {
 	return func(c *FedConfig) { c.UnpacedTransfers = on }
-}
-
-// WithTransferChunk sizes the cross-cluster pre-copy chunks. WAN-shaped
-// deployments want smaller chunks than the LAN default: one chunk's
-// serialisation time is the floor on how long a delegation reply can
-// queue behind the bulk exchange on a shared management link.
-func WithTransferChunk(mib int) FedOption {
-	return func(c *FedConfig) { c.TransferChunkMiB = mib }
 }
 
 // WithFedTracer attaches the observability flight recorder to the whole
@@ -306,33 +297,6 @@ func NewFederation(opts ...FedOption) *Federation {
 	}
 	if cfg.Clusters <= 0 {
 		cfg.Clusters = 1
-	}
-	if cfg.FedLinkLatency <= 0 {
-		cfg.FedLinkLatency = 200 * time.Microsecond
-	}
-	if cfg.FedBitsPerSec <= 0 {
-		cfg.FedBitsPerSec = 1e9
-	}
-	if cfg.TransferBitsPerSec <= 0 {
-		cfg.TransferBitsPerSec = 1e9
-	}
-	if cfg.TransferChunkMiB <= 0 {
-		cfg.TransferChunkMiB = 4
-	}
-	if cfg.TransferChunkRTO <= 0 {
-		cfg.TransferChunkRTO = 50 * time.Millisecond
-	}
-	if cfg.TransferChunkRetries <= 0 {
-		cfg.TransferChunkRetries = 5
-	}
-	if cfg.ShedBatch <= 0 {
-		cfg.ShedBatch = 1
-	}
-	if cfg.DelegateTimeout <= 0 {
-		cfg.DelegateTimeout = 5 * time.Millisecond
-	}
-	if cfg.DelegateRetries < 0 {
-		cfg.DelegateRetries = 0
 	}
 	f := &Federation{Cfg: cfg, fedXfers: make(map[uint32]*chunkSend)}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
@@ -554,14 +518,7 @@ func (f *Federation) Shed(from, to, batch int) error {
 	if from == to || batch <= 0 || batch > 255 {
 		return fmt.Errorf("cluster: bad shed %d -> %d batch %d", from, to, batch)
 	}
-	f.Sheds++
-	if tr := f.Cfg.Tracer; tr != nil {
-		tr.Instant(0, "fed", "shed",
-			obs.Num("hot", int64(from)), obs.Num("cold", int64(to)),
-			obs.Num("batch", int64(batch)))
-	}
-	buf := []byte{fedOpShed, byte(to >> 8), byte(to), byte(batch)}
-	f.root.mgmt.SendUDP(agentMgmtIP(from), fedPort, fedPort, buf)
+	f.root.sendShed(from, to, batch)
 	return nil
 }
 
@@ -600,7 +557,7 @@ type fedAgent struct {
 func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 	a := &fedAgent{f: f, m: m}
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
-	f.fedNet.ConnectNIC(a.nic, f.Cfg.FedLinkLatency, f.Cfg.FedBitsPerSec)
+	f.fedNet.ConnectNIC(a.nic, fedLinkLatency, fedBitsPerSec)
 	if f.Cfg.WAN != nil {
 		f.Cfg.WAN.Apply(a.nic.Link(), int64(0xFED0+m.ID))
 	}
@@ -650,7 +607,7 @@ func (a *fedAgent) dirChanged() {
 		return
 	}
 	a.pushPending = true
-	a.f.eng.After(a.f.Cfg.FedLinkLatency, func() {
+	a.f.eng.After(fedLinkLatency, func() {
 		a.pushPending = false
 		if !a.stopped {
 			a.push(false)
@@ -770,8 +727,8 @@ func (a *fedAgent) fedCopy(dst int, stateMiB int, done func(ok bool)) {
 	f := a.f
 	p := chunkPath{
 		wire: fedXferWire, eng: f.eng, host: a.host, xmit: fedXferWire.bulk(a.host, agentMgmtIP(dst)),
-		chunkMiB: f.Cfg.TransferChunkMiB, rto: f.Cfg.TransferChunkRTO,
-		retries: f.Cfg.TransferChunkRetries, bitsPerSec: f.Cfg.TransferBitsPerSec,
+		chunkMiB: f.Cfg.transferChunkMiB(), rto: transferChunkRTO,
+		retries: transferChunkRetries, bitsPerSec: f.Cfg.transferBitsPerSec(),
 		sent: &f.FedChunks, retx: &f.FedChunkRetx, aborts: &f.FedXferAborts,
 		traceAbort: func(id uint32, acked int) {
 			if tr := f.Cfg.Tracer; tr != nil {
@@ -973,7 +930,7 @@ func (a *fedAgent) retire(e *Entry, p *Placement, newHome int) {
 			obs.Str("svc", e.Name), obs.Num("dst", int64(newHome)))
 	}
 	a.dirChanged()
-	guard := 10 * c.Cfg.BootEstimate
+	guard := 10 * bootEstimate
 	a.f.eng.After(guard, func() {
 		// Only retire the entry this drain belongs to: the name may have
 		// been re-adopted (a spill back) since, and its fresh
@@ -1068,14 +1025,14 @@ func newFedRoot(f *Federation) *fedRoot {
 		hotID:     -1,
 	}
 	mgmtNIC := netsim.NewNIC(f.eng, "fed-root", netsim.MACFor(0xB100))
-	f.fedNet.ConnectNIC(mgmtNIC, f.Cfg.FedLinkLatency, f.Cfg.FedBitsPerSec)
+	f.fedNet.ConnectNIC(mgmtNIC, fedLinkLatency, fedBitsPerSec)
 	r.mgmt = netstack.NewHost(f.eng, "fed-root", mgmtNIC, rootMgmtIP, netstack.Dom0Profile())
 	if err := r.mgmt.BindUDP(fedPort, r.recv); err != nil {
 		panic(fmt.Sprintf("cluster: fed root bind: %v", err))
 	}
 
 	frontNIC := netsim.NewNIC(f.eng, "fed-root-dns", netsim.MACFor(0xB200))
-	f.front.ConnectNIC(frontNIC, f.Cfg.Cluster.Board.ExtLatency, f.Cfg.Cluster.Board.ExtBitsPerSec)
+	f.front.ConnectNIC(frontNIC, core.ExtLinkLatency, core.ExtLinkBitsPerSec)
 	r.fr = netstack.NewHost(f.eng, "fed-root-dns", frontNIC, FedRootAddr, netstack.Dom0Profile())
 	r.zone = dns.NewZone(f.Cfg.Cluster.Board.Zone)
 	r.zone.Add(dns.RR{Name: "ns." + r.zone.Apex, Type: dns.TypeA, TTL: 300, A: FedRootAddr})
@@ -1278,7 +1235,7 @@ func (r *fedRoot) send(qid uint32, p *pendingResolve, wire []byte) {
 // whether the name exists, and a poisoned negative cache would keep
 // refusing the name for a whole epoch after the partition heals.
 func (r *fedRoot) armRetransmit(qid uint32, p *pendingResolve) {
-	rto := r.f.Cfg.DelegateTimeout
+	rto := r.f.Cfg.delegateTimeout()
 	for i := 1; i < p.tries; i++ {
 		rto *= 2
 	}
@@ -1539,8 +1496,8 @@ func (r *fedRoot) applySummary(s Summary, periodic bool) {
 
 // checkSkew runs the sustained-skew detector after a periodic push from
 // cluster `from`: when the same cluster stays hottest — above
-// SkewMinRate, with the coldest cluster at or below SkewRatio of it —
-// for SkewRounds consecutive rounds, the root commands a shed from the
+// SkewMinRate, with the coldest cluster at or below skewRatio of it —
+// for skewRounds consecutive rounds, the root commands a shed from the
 // hottest to the coldest cluster. No operator Rebalance() call anywhere.
 func (r *fedRoot) checkSkew(from int) {
 	if r.f.Cfg.SkewMinRate <= 0 {
@@ -1568,7 +1525,7 @@ func (r *fedRoot) checkSkew(from int) {
 		return
 	}
 	skewed := float64(hotLoad)/1000 >= r.f.Cfg.SkewMinRate &&
-		float64(coldLoad) <= r.f.Cfg.SkewRatio*float64(hotLoad)
+		float64(coldLoad) <= skewRatio*float64(hotLoad)
 	if !skewed {
 		r.hotID, r.hotStreak = -1, 0
 		return
@@ -1580,16 +1537,23 @@ func (r *fedRoot) checkSkew(from int) {
 		return // one streak tick per round, counted on the hot row's push
 	}
 	r.hotStreak++
-	if r.hotStreak < r.f.Cfg.SkewRounds {
+	if r.hotStreak < skewRounds {
 		return
 	}
 	r.hotStreak = 0
+	r.sendShed(hot, cold, shedBatch)
+}
+
+// sendShed orders cluster hot's agent to move up to batch of its
+// hottest warm services to cluster cold: the one encoding of the
+// fedOpShed datagram, shared by the skew detector and Federation.Shed.
+func (r *fedRoot) sendShed(hot, cold, batch int) {
 	r.f.Sheds++
 	if tr := r.f.Cfg.Tracer; tr != nil {
 		tr.Instant(0, "fed", "shed",
 			obs.Num("hot", int64(hot)), obs.Num("cold", int64(cold)),
-			obs.Num("batch", int64(r.f.Cfg.ShedBatch)))
+			obs.Num("batch", int64(batch)))
 	}
-	buf := []byte{fedOpShed, byte(cold >> 8), byte(cold), byte(r.f.Cfg.ShedBatch)}
+	buf := []byte{fedOpShed, byte(cold >> 8), byte(cold), byte(batch)}
 	r.mgmt.SendUDP(agentMgmtIP(hot), fedPort, fedPort, buf)
 }

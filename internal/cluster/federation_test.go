@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +91,25 @@ func TestFederationResolutionTable(t *testing.T) {
 	}
 	if r.Delegations == 0 || r.Scans == 0 {
 		t.Errorf("delegations=%d scans=%d, want both > 0", r.Delegations, r.Scans)
+	}
+}
+
+// TestFedClientRejectsUnmappableBoard: a root answer whose address names
+// a board the owning cluster does not have must fail the fetch with the
+// unmappable-answer error, not index past the cluster's boards.
+func TestFedClientRejectsUnmappableBoard(t *testing.T) {
+	f := testFederation(2, 2)
+	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
+	// 10.10.150.1 decodes to cluster 0, board 50.
+	f.root.zone.Add(dns.RR{Name: "stray.family.name", Type: dns.TypeA, TTL: 300,
+		A: netstack.IPv4(10, 10, 150, 1)})
+	out := fedFetch(f, fc, time.Second, "stray.family.name")
+	f.RunAll()
+	if !out.done || out.err == nil || !strings.Contains(out.err.Error(), "unmappable answer") {
+		t.Fatalf("done=%v err=%v, want the unmappable-answer error", out.done, out.err)
+	}
+	if out.cluster != -1 || out.board != -1 {
+		t.Errorf("served by cluster %d board %d, want -1/-1", out.cluster, out.board)
 	}
 }
 

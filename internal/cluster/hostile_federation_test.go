@@ -95,7 +95,7 @@ func TestFedDelegationRetryAblation(t *testing.T) {
 		f := NewFederation(
 			WithClusters(2),
 			WithMemberOptions(WithBoards(2), WithSeed(42)),
-			WithDelegateRetry(5*time.Millisecond, retries),
+			WithDelegateRetry(retries),
 		)
 		fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 		f.RegisterService(testService("alice", 20))

@@ -318,7 +318,7 @@ func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, att
 					obs.Str("svc", e.Name), obs.Num("src", int64(p.Board)), obs.Num("dst", int64(idx)))
 			}
 			c.front().DNS.BumpEpoch()
-			guard := 10 * c.Cfg.BootEstimate
+			guard := 10 * bootEstimate
 			grace := sim.Duration(0)
 			if since := c.eng.Now() - p.lastAnswered; p.lastAnswered > 0 && since < guard {
 				grace = guard - since
@@ -415,7 +415,7 @@ func (c *Cluster) copyCheckpoint(src, dst int, stateMiB int, done func(ok bool))
 	p := chunkPath{
 		wire: migrateWire, eng: c.eng, host: h, xmit: migrateWire.bulk(h, mgmtIP(dst)),
 		chunkMiB: c.Cfg.MigrateChunkMiB, rto: c.Cfg.MigrateChunkRTO,
-		retries: c.Cfg.MigrateChunkRetries, bitsPerSec: c.Cfg.MigrateBitsPerSec,
+		retries: c.Cfg.MigrateChunkRetries, bitsPerSec: c.Cfg.MgmtBitsPerSec,
 		sent: &c.Chunks, retx: &c.ChunkRetx, aborts: &c.XferAborts,
 		traceRetx:  func(id uint32, chunk int) { c.traceXfer(src, "chunk-retx", id, chunk) },
 		traceAbort: func(id uint32, acked int) { c.traceXfer(src, "xfer-abort", id, acked) },

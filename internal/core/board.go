@@ -22,12 +22,12 @@ import (
 )
 
 // BoardConfig assembles one embedded Jitsu host (a Cubieboard in the
-// paper's evaluation) plus its edge network.
+// paper's evaluation); its edge network is fixed (ExtLinkLatency,
+// ExtLinkBitsPerSec).
 type BoardConfig struct {
-	Seed       int64
-	Platform   *xen.Platform
-	Reconciler xenstore.Reconciler
-	Toolstack  xen.ToolstackOpts
+	Seed      int64
+	Platform  *xen.Platform
+	Toolstack xen.ToolstackOpts
 	// TotalMemMiB is guest-available RAM (Cubieboard2: 1GB minus dom0).
 	TotalMemMiB int
 	// Zone is the DNS apex this board is authoritative for.
@@ -48,9 +48,6 @@ type BoardConfig struct {
 	// The zero value builds no device (DefaultConfig: a diskless board
 	// keeps the two-tier admission behaviour); WithDisk opts in.
 	Disk blockdev.Config
-	// External link characteristics (client <-> board).
-	ExtLatency    sim.Duration
-	ExtBitsPerSec float64
 	// Tracer, when set, is the flight recorder every subsystem on the
 	// board emits spans into; its timestamps come from the board's
 	// engine, so a seeded run exports bit-identically. Nil (the
@@ -61,19 +58,24 @@ type BoardConfig struct {
 	TraceTID int
 }
 
+// External (client <-> board) link characteristics: every board sits on
+// the same 100Mb Ethernet edge, so they are built in, not configured.
+const (
+	ExtLinkLatency    = 150 * time.Microsecond
+	ExtLinkBitsPerSec = 100e6 // Cubieboard2: 100Mb Ethernet
+)
+
 // DefaultConfig is a Cubieboard2 running the fully optimised stack with
-// Synjitsu on — the headline configuration.
+// Synjitsu on — the headline configuration. Every board runs the Jitsu
+// xenstored engine (xenstore.JitsuReconciler).
 func DefaultConfig() BoardConfig {
 	return BoardConfig{
-		Seed:          1,
-		Platform:      xen.CubieboardARM(),
-		Reconciler:    xenstore.JitsuReconciler{},
-		Toolstack:     xen.OptimisedOpts(),
-		TotalMemMiB:   768,
-		Zone:          "family.name",
-		Synjitsu:      true,
-		ExtLatency:    150 * time.Microsecond,
-		ExtBitsPerSec: 100e6, // Cubieboard2: 100Mb Ethernet
+		Seed:        1,
+		Platform:    xen.CubieboardARM(),
+		Toolstack:   xen.OptimisedOpts(),
+		TotalMemMiB: 768,
+		Zone:        "family.name",
+		Synjitsu:    true,
 	}
 }
 
@@ -143,7 +145,7 @@ var (
 // toolstack, bridge, launcher, DNS, directory, proxy and the built-in
 // trigger frontends, all on the given engine.
 func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
-	store := xenstore.NewStore(cfg.Reconciler)
+	store := xenstore.NewStore(xenstore.JitsuReconciler{})
 	hyp := xen.NewHypervisor(eng, store, cfg.Platform, cfg.TotalMemMiB)
 	ts := xen.NewToolstack(hyp, cfg.Toolstack)
 	bridge := netsim.NewBridge(eng, "xenbr0", 10*time.Microsecond)
@@ -235,7 +237,7 @@ func (b *Board) histFor(kind string) *obs.Histogram {
 func (b *Board) AddClient(name string, ip netstack.IP) *netstack.Host {
 	b.nextClient++
 	nic := netsim.NewNIC(b.Eng, name, netsim.MACFor(0x9000+b.nextClient))
-	b.Bridge.ConnectNIC(nic, b.Cfg.ExtLatency, b.Cfg.ExtBitsPerSec)
+	b.Bridge.ConnectNIC(nic, ExtLinkLatency, ExtLinkBitsPerSec)
 	return netstack.NewHost(b.Eng, name, nic, ip, netstack.LinuxNativeProfile())
 }
 

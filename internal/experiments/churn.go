@@ -104,7 +104,7 @@ func runChurn(migrate, traced bool, seed int64, trace []scalingArrival, horizon 
 		cluster.WithSeed(seed),
 		cluster.WithMigrateOnLeave(migrate),
 		cluster.WithProbing(1*time.Second, 0, 0),
-		cluster.WithWarmPool(1.0, 1),
+		cluster.WithWarmPool(1),
 		cluster.WithTracer(tracer, 0),
 	)
 	for s := 0; s < churnServices; s++ {

@@ -196,9 +196,9 @@ func runFedFederation(label string, rebalance bool, seed int64, trace []scalingA
 		cluster.WithSummaryEvery(fedExpSummaryEvery),
 	}
 	if rebalance {
-		opts = append(opts, cluster.WithSkewPolicy(2.0, 0.5, 3, 2))
+		opts = append(opts, cluster.WithSkewPolicy(2.0))
 	} else {
-		opts = append(opts, cluster.WithSkewPolicy(0, 0.5, 3, 2), cluster.WithSpillOnRefuse(false))
+		opts = append(opts, cluster.WithSkewPolicy(0), cluster.WithSpillOnRefuse(false))
 	}
 	f := cluster.NewFederation(opts...)
 	for s := 0; s < fedExpServices; s++ {

@@ -79,7 +79,6 @@ func runStampedeCluster(label string, unpaced bool, seed int64) *stampedeCluster
 		cluster.WithUnpacedTransfers(unpaced),
 		cluster.Option(func(cfg *cluster.Config) {
 			cfg.MgmtBitsPerSec = stampedeMgmtBits
-			cfg.MigrateBitsPerSec = stampedeMgmtBits
 			cfg.MigrateChunkMiB = 1
 		}),
 	)
@@ -148,10 +147,8 @@ func runStampedeFed(label string, shed, unpaced bool, horizon sim.Duration) *sta
 		cluster.WithClusters(2),
 		cluster.WithMemberOptions(cluster.WithBoards(3), cluster.WithSeed(2600)),
 		cluster.WithWAN(netsim.WAN20ms()),
-		cluster.WithDelegateRetry(100*time.Millisecond, 3),
-		cluster.WithTransferChunk(1),
 		// The shed is issued by hand at t0; the detector stays out of it.
-		cluster.WithSkewPolicy(0, 0.5, 3, stampedeFedBatch),
+		cluster.WithSkewPolicy(0),
 		cluster.WithUnpacedFedTransfers(unpaced),
 	)
 	tap := netsim.NewCapture(f.Eng(), 1<<15)
